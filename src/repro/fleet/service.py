@@ -29,7 +29,7 @@ from repro.proxy.service import (
 from repro.rest.codec import resolve_codec
 from repro.rest.messages import Request
 from repro.sgx.attestation import AttestationService
-from repro.sgx.enclave import Enclave, EnclaveMeasurement
+from repro.sgx.enclave import EnclaveMeasurement
 from repro.sgx.provisioning import KeyProvisioner
 from repro.simnet.loadbalancer import LoadBalancer, make_policy
 
@@ -107,41 +107,17 @@ class ShardedPProxService(PProxService):
             created_at=self.runtime.loop.now,
         )
         for index in range(self.instances_per_shard):
-            enclave = Enclave(
-                name=f"ia-enclave-{shard_id}-{index}",
-                measurement=EnclaveMeasurement.of_code(IA_CODE_IDENTITY),
-                host_node=domain_node(domain, "IA", index),
+            self._spawn(
+                "IA", f"pprox-ia-{shard_id}-{index}", f"ia-enclave-{shard_id}-{index}",
+                domain_node(domain, "IA", index), self.lrs_picker,
+                pools=((shard.ia_instances, shard.ia_balancer),),
             )
-            self.provisioner.provision("IA", enclave)
-            instance = ItemAnonymizer(
-                name=f"pprox-ia-{shard_id}-{index}",
-                runtime=self.runtime,
-                enclave=enclave,
-                lrs_picker=self.lrs_picker,
-            )
-            shard.ia_instances.append(instance)
-            shard.ia_balancer.add(instance)
-            self.ia_instances.append(instance)
-            self.ia_balancer.add(instance)
-            self.runtime.network.register_role(instance.address, "ia")
         for index in range(self.instances_per_shard):
-            enclave = Enclave(
-                name=f"ua-enclave-{shard_id}-{index}",
-                measurement=EnclaveMeasurement.of_code(UA_CODE_IDENTITY),
-                host_node=domain_node(domain, "UA", index),
+            self._spawn(
+                "UA", f"pprox-ua-{shard_id}-{index}", f"ua-enclave-{shard_id}-{index}",
+                domain_node(domain, "UA", index), shard.ia_balancer,
+                pools=((shard.ua_instances, shard.ua_balancer),),
             )
-            self.provisioner.provision("UA", enclave)
-            instance = UserAnonymizer(
-                name=f"pprox-ua-{shard_id}-{index}",
-                runtime=self.runtime,
-                enclave=enclave,
-                ia_balancer=shard.ia_balancer,
-            )
-            shard.ua_instances.append(instance)
-            shard.ua_balancer.add(instance)
-            self.ua_instances.append(instance)
-            self.ua_balancer.add(instance)
-            self.runtime.network.register_role(instance.address, "ua")
         self.directory.register(shard)
         if activate:
             shard.set_state("live")
@@ -186,20 +162,8 @@ class ShardedPProxService(PProxService):
         shard = self.shard_of(instance)
         if shard is None:
             return super().restart_instance(instance)
-        if instance in shard.ua_instances:
-            layer, identity = "UA", UA_CODE_IDENTITY
-        else:
-            layer, identity = "IA", IA_CODE_IDENTITY
-        next_generation = instance.generation + 1
-        enclave = Enclave(
-            name=f"{instance.name}-enclave-g{next_generation}",
-            measurement=EnclaveMeasurement.of_code(identity),
-            host_node=f"node-{shard.domain}-{layer.lower()}-g{next_generation}",
-        )
-        self.provisioner.provision(layer, enclave)
-        instance.restart(enclave)
-        self.restarts += 1
-        return instance
+        layer = "UA" if instance in shard.ua_instances else "IA"
+        return self._restart(instance, layer, f"node-{shard.domain}-{layer.lower()}")
 
 
 def build_fleet(

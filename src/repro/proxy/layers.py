@@ -7,6 +7,10 @@ concurrent queue, a routing table ``T`` for pending requests, and a
 shuffle buffer for the direction that instance randomizes (UA:
 requests, IA: responses).
 
+Both layers share one skeleton, :class:`_ProxyLayer`; they differ
+only in the hooks they supply (shuffled direction, key slots,
+transforms and upstream).
+
 Processing is charged to the instance's 2-core
 :class:`repro.simnet.node.SimNode` using the calibrated
 :class:`repro.proxy.costs.ProxyCostModel`; transformations perform the
@@ -16,8 +20,8 @@ Processing is charged to the instance's 2-core
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from dataclasses import KW_ONLY, dataclass, field
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.envelope import EnvelopeCodec, decode_identifier
 from repro.crypto.keys import LayerKeys
@@ -47,6 +51,7 @@ from repro.rest.codec import BatchEnvelope, WireCodec, ship
 from repro.rest.messages import Request, Response, Verb
 from repro.rest.routing import RoutingTable
 from repro.sgx.enclave import Enclave
+from repro.sgx.provisioning import IA_SECRET_K, IA_SECRET_SK, UA_SECRET_K, UA_SECRET_SK
 from repro.simnet.clock import EventLoop
 from repro.simnet.loadbalancer import BalancerError, LoadBalancer
 from repro.simnet.network import Network
@@ -60,7 +65,6 @@ __all__ = [
     "ProxyRuntime",
     "DEFAULT_TENANT",
     "RETRYABLE_STATUS",
-    "transform_error_response",
 ]
 
 ReplyFn = Callable[[Response], None]
@@ -69,20 +73,6 @@ ReplyFn = Callable[[Response], None]
 #: its keys were rotated while the request was in flight).  Clients
 #: treat it like a timeout: back off and retry under a fresh id.
 RETRYABLE_STATUS = 503
-
-
-def transform_error_response(request: Request, exc: Exception) -> Response:
-    """A retryable error reply for a failed cryptographic transform.
-
-    The reply is the canonical uniform reject: not even the exception
-    *type* crosses the wire anymore (exception messages can quote the
-    payload being transformed, and type names correlate with layer
-    state — a shed, a stale key and a breaker trip must all look the
-    same to the other layer and to the wire adversary).  The cause
-    survives only in the instance's local ``transform_errors`` counter.
-    """
-    del exc  # cause is deliberately not serialized
-    return uniform_reject(request.request_id)
 
 #: Tenant label used by single-application deployments.
 DEFAULT_TENANT = "default"
@@ -139,59 +129,69 @@ class _BatchCollector:
 
     Each flushed entry contributes exactly once — a transformed
     request via :meth:`add`, or a :meth:`skip` when its transform
-    failed or its instance generation went stale — and the batch seals
-    when the last contribution lands.  ``sealed`` guards against the
-    flush firing twice.
+    failed — and *seal* runs once, when the last contribution lands.
+    An entry fenced off by a crash or restart never contributes, so a
+    flush interrupted that way never seals: its partial batch is
+    dropped like a drained shuffle buffer.
     """
 
-    __slots__ = ("expected", "requests", "sealed")
+    __slots__ = ("expected", "requests", "seal")
 
-    def __init__(self, expected: int) -> None:
+    def __init__(self, expected: int, seal: Callable[[List[Request]], None]) -> None:
         self.expected = expected
-        self.requests: list = []
-        self.sealed = False
+        self.requests: List[Request] = []
+        self.seal: Optional[Callable[[List[Request]], None]] = seal
 
     def add(self, request: Request) -> None:
         self.requests.append(request)
+        self._maybe_seal()
 
     def skip(self) -> None:
         self.expected -= 1
+        self._maybe_seal()
 
-    @property
-    def complete(self) -> bool:
-        return not self.sealed and len(self.requests) >= self.expected
-
-
-def _layer_keys(enclave: Enclave, sk_slot: str, k_slot: str) -> LayerKeys:
-    """Reconstruct the layer's key material from sealed enclave slots."""
-    return LayerKeys(
-        private_key=enclave.secret(sk_slot),
-        symmetric_key=enclave.secret(k_slot),
-    )
-
-
-def _sgx_attrs(runtime: ProxyRuntime, enclave: Enclave, pending: int) -> dict:
-    """Enclave-boundary cost attributes for the currently open span."""
-    sgx = runtime.costs.sgx
-    if not (runtime.config.sgx and sgx.enabled):
-        return {}
-    return {
-        "sgx_overhead_seconds": sgx.request_overhead(pending, enclave.performance_penalty),
-        "epc_paging": pending > sgx.epc_entries,
-    }
+    def _maybe_seal(self) -> None:
+        if self.seal is None or len(self.requests) < self.expected:
+            return
+        seal, self.seal = self.seal, None
+        if self.requests:
+            seal(self.requests)
 
 
 @dataclass
-class UserAnonymizer:
-    """One UA-layer proxy instance (first layer, client-facing)."""
+class _ProxyLayer:
+    """What every proxy instance does regardless of its layer.
+
+    A request enters through :meth:`receive_request` (deadline check,
+    admission, ingress queue), optionally waits in the request shuffle,
+    then takes the **forward step**: transform, pick an upstream,
+    register in ``T``, ship.  The reply optionally waits in the
+    response shuffle, then takes the **return step**: consume from
+    ``T``, transform, reply.
+
+    Layer hooks: ``_request_leg`` and ``_response_leg`` (service time;
+    the latter also returns the step's span attributes, ``None`` for no
+    ecall count), ``_transform``, ``_transform_response``,
+    ``_probe_field`` (wire field validating a trial key, if any),
+    ``_pick_upstream`` and ``_deliver``.
+    """
+
+    #: Telemetry role of this layer and of the peer it forwards to.
+    role: ClassVar[str]
+    upstream_role: ClassVar[str]
+    #: Sealed-slot names of the layer's (private, symmetric) keys.
+    key_slots: ClassVar[Tuple[str, str]]
 
     name: str
     runtime: ProxyRuntime
     enclave: Enclave
-    ia_balancer: LoadBalancer
+    _: KW_ONLY
     node: SimNode = None  # type: ignore[assignment]
-    routing: RoutingTable = field(default_factory=lambda: RoutingTable(name="T-ua"))
-    request_buffer: Optional[ShuffleBuffer] = None
+    routing: RoutingTable = None  # type: ignore[assignment]
+    #: Shuffle buffers.  Each layer randomizes one direction (UA:
+    #: requests, IA: responses) and takes only that one as an argument.
+    request_buffer: Optional[ShuffleBuffer] = field(default=None, init=False)
+    response_buffer: Optional[ShuffleBuffer] = field(default=None, init=False)
     requests_processed: int = 0
     responses_processed: int = 0
     #: Crash-stop failure flag: a dead instance silently drops traffic
@@ -206,34 +206,24 @@ class UserAnonymizer:
     #: Responses dropped because their routing entry did not survive a
     #: crash/restart (the client recovers via timeout + retry).
     stale_responses: int = 0
-    #: Requests decrypted under the previous epoch's private key during
+    #: Messages decrypted under the previous epoch's private key during
     #: a dual-epoch window (always re-encrypted forward under the new).
     previous_epoch_decrypts: int = 0
     #: Virtual time the previous epoch's keys were last needed; the
     #: rotation coordinator retires the old epoch only after this has
     #: been quiet longer than the shuffle timeout.
     last_previous_epoch_use: Optional[float] = None
-    #: Epoch tags stripped at the front door (pre-shuffle, so batches
-    #: never carry an epoch marker an adversary could partition by).
-    epoch_tags_seen: int = 0
-    #: Causal trace ids severed at the front door (pre-shuffle, so no
-    #: trace can be followed through the batch — the linkage channel a
-    #: conventional tracer would open is closed here by construction).
-    trace_tags_seen: int = 0
     #: Bounded ingress queue (overload mode only; ``None`` otherwise).
     ingress: Optional[ConcurrentQueue] = None
-    #: Front-door admission controller (overload mode only).
-    admission: Optional[AdmissionController] = None
+    #: Front-door admission controller (UA in overload mode only).
+    admission: Optional[AdmissionController] = field(default=None, init=False)
     #: Requests shed at this instance, keyed by ``(stage, reason)``.
     shed_totals: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: Requests rejected because every IA backend was ejected.
+    #: Requests rejected because every upstream was ejected.
     no_upstream: int = 0
     #: Non-ok responses rewritten to the uniform reject before they
     #: crossed a protected hop.
     rejects_normalized: int = 0
-    #: Shuffle batches sealed into a single hybrid envelope
-    #: (batch-envelope mode only).
-    batch_envelopes_sealed: int = 0
     #: Telemetry hooks (set by ``instrument_overload``): called per shed
     #: with ``(stage, reason)`` / per arriving deadline with the
     #: remaining budget in seconds.
@@ -245,43 +235,37 @@ class UserAnonymizer:
     def __post_init__(self) -> None:
         if self.node is None:
             self.node = SimNode(name=self.name, loop=self.runtime.loop, cores=2)
-        if self.runtime.config.shuffling and self.request_buffer is None:
-            self.request_buffer = ShuffleBuffer(
-                loop=self.runtime.loop,
-                rng=self.runtime.rng,
-                size=self.runtime.config.shuffle_size,
-                timeout=self.runtime.config.shuffle_timeout,
-                release=self._start_processing,
-                name=f"{self.name}-requests",
-            )
-        codec = self.runtime.codec
-        if (
-            codec is not None
-            and codec.batch_envelopes
-            and self.runtime.config.encryption
-            and self.request_buffer is not None
-            # Runtimes without a shared IA key (multi-tenant stacks
-            # hold per-tenant keys instead) fall back to per-request
-            # sends; a batch envelope needs one sealing key.
-            and self.runtime.ia_public is not None
-        ):
-            # Batch-envelope mode: a flush becomes one sealed envelope
-            # to one IA instance instead of S independent sends.
-            self.request_buffer.release_batch = self._release_batch
+        if self.routing is None:
+            self.routing = RoutingTable(name=f"T-{self.role}")
         policy = self.runtime.overload
         if policy is not None:
             if self.ingress is None:
-                self.ingress = policy.make_ingress_queue(
-                    f"{self.name}-ingress", clock=lambda: self.runtime.loop.now
-                )
-            self.ingress.on_shed = self._shed_from_queue
-            if self.admission is None:
-                self.admission = policy.make_admission()
+                self.ingress = self._ingress_queue(f"{self.name}-ingress")
             # The pump never throttles below a full shuffle batch:
-            # bounding concurrency must not starve the buffer under S.
+            # bounding concurrency must not starve the buffer under S,
+            # and on the IA response-side submissions share the node,
+            # so the window must cover a flushed batch of S responses.
             self._pump_window = max(
                 policy.max_inflight, self.runtime.config.shuffle_size
             )
+
+    def _ingress_queue(self, name: str) -> ConcurrentQueue:
+        queue = self.runtime.overload.make_ingress_queue(
+            name, clock=lambda: self.runtime.loop.now
+        )
+        queue.on_shed = self._shed_from_queue
+        return queue
+
+    def _shuffle_buffer(self, direction: str, release: Callable[[Any], None]) -> ShuffleBuffer:
+        config = self.runtime.config
+        return ShuffleBuffer(
+            loop=self.runtime.loop,
+            rng=self.runtime.rng,
+            size=config.shuffle_size,
+            timeout=config.shuffle_timeout,
+            release=release,
+            name=f"{self.name}-{direction}",
+        )
 
     @property
     def address(self) -> str:
@@ -289,9 +273,13 @@ class UserAnonymizer:
         return self.name
 
     @property
+    def _buffers(self) -> List[ShuffleBuffer]:
+        return [b for b in (self.request_buffer, self.response_buffer) if b is not None]
+
+    @property
     def pending(self) -> int:
         """Outstanding work (load-balancer signal)."""
-        buffered = self.request_buffer.pending if self.request_buffer else 0
+        buffered = sum(buffer.pending for buffer in self._buffers)
         queued = self.ingress.depth if self.ingress is not None else 0
         return self.node.pending + len(self.routing) + buffered + queued
 
@@ -316,44 +304,14 @@ class UserAnonymizer:
             epc_pressure=pressure,
         )
 
-    def _count_shed(self, stage: str, reason: str) -> None:
-        key = (stage, reason)
-        self.shed_totals[key] = self.shed_totals.get(key, 0) + 1
-        if self.shed_observer is not None:
-            self.shed_observer(stage, reason)
-        telemetry = self.runtime.telemetry
-        if telemetry is not None and key not in self._announced_sheds:
-            # Sparse: one event per (stage, reason) per instance life;
-            # volumes live in pprox_shed_total.  Payload carries no
-            # request identifiers, so the "ua" redaction role has
-            # nothing to scrub but also nothing to leak.
-            self._announced_sheds.add(key)
-            telemetry.event_log.emit(
-                "shed",
-                "ua",
-                {
-                    "event": "request_shed",
-                    "stage": stage,
-                    "reason": reason,
-                    "instance": self.name,
-                },
-            )
-
-    def _shed_from_queue(self, entry: tuple, reason: str) -> None:
-        request, reply = entry[0], entry[1]
-        self._count_shed(STAGE_QUEUE, reason)
-        reply(uniform_reject(request.request_id))
-
-    # -- request path --------------------------------------------------
+    # -- lifecycle -----------------------------------------------------
 
     def fail(self) -> int:
         """Crash-stop this instance: all in-flight and future traffic
         addressed to it is lost, including its buffered shuffle batch.
         Returns the number of buffered entries drained."""
         self.alive = False
-        if self.request_buffer is not None:
-            return self.request_buffer.drain()
-        return 0
+        return sum(buffer.drain() for buffer in self._buffers)
 
     def restart(self, enclave: Enclave) -> None:
         """Come back from a crash with a freshly provisioned enclave.
@@ -375,22 +333,418 @@ class UserAnonymizer:
             )
         self.generation += 1
         self.enclave = enclave
-        self.routing = RoutingTable(name=f"T-ua-g{self.generation}")
-        policy = self.runtime.overload
-        if policy is not None:
+        self.routing = RoutingTable(name=f"T-{self.role}-g{self.generation}")
+        if self.runtime.overload is not None:
             # Pre-crash queue entries are crash-stop casualties exactly
             # like the shuffle batch: the new life starts empty.
-            self.ingress = policy.make_ingress_queue(
-                f"{self.name}-ingress-g{self.generation}",
-                clock=lambda: self.runtime.loop.now,
-            )
-            self.ingress.on_shed = self._shed_from_queue
+            self.ingress = self._ingress_queue(f"{self.name}-ingress-g{self.generation}")
         self.alive = True
 
+    def _submit(self, service_time: float, step: Callable[[], None]) -> None:
+        """Charge *service_time* to the node, then run *step* — unless
+        this life ended in the meantime (generation fence)."""
+        generation = self.generation
+
+        def run() -> None:
+            if self.alive and generation == self.generation:
+                step()
+
+        self.node.submit(service_time, run)
+
+    # -- front door ----------------------------------------------------
+
     def receive_request(self, request: Request, reply: ReplyFn) -> None:
-        """Entry point for a client request delivered by the network."""
+        """Entry point for a request delivered by the network."""
         if not self.alive:
             return
+        request = self._sever(request)
+        if self.ingress is None:
+            self._enter((request, reply))
+            return
+        remaining = decode_deadline(request)
+        if remaining is not None and self.deadline_observer is not None:
+            self.deadline_observer(remaining)
+        policy = self.runtime.overload
+        if policy.enforce_deadlines and remaining is not None and remaining <= 0.0:
+            # Spent budget: the client already gave up, so shed before
+            # any enclave entry-cost is paid for this request.  Safe for
+            # anonymity on both layers: the UA sheds before its request
+            # shuffle, and the IA randomizes responses, not requests.
+            self._shed(STAGE_DEADLINE, "expired", request.request_id, reply)
+            return
+        if self.admission is not None:
+            refusal = self.admission.admit(self.overload_signal())
+            if refusal is not None:
+                self._shed(STAGE_ADMISSION, refusal, request.request_id, reply)
+                return
+        self.ingress.push((request, reply, self.runtime.loop.now, remaining))
+        self._pump()
+
+    def _sever(self, request: Request) -> Request:
+        """Strip what must not reach the shuffle (UA hook)."""
+        return request
+
+    def _enter(self, entry: tuple) -> None:
+        """Hand an admitted entry to the request shuffle, or straight to
+        the enclave on a layer that does not shuffle requests."""
+        if self.request_buffer is not None:
+            self.request_buffer.add(entry)
+        else:
+            self._start_forward(entry)
+
+    def _pump(self) -> None:
+        """Drain admitted entries into the shuffle buffer / node while
+        the in-flight window has room.  Sheds decided at dequeue time
+        (CoDel sojourn) happen here — still pre-shuffle."""
+        if self.ingress is None:
+            return
+        while True:
+            buffered = self.request_buffer.pending if self.request_buffer is not None else 0
+            if self.node.pending + buffered >= self._pump_window:
+                return
+            entry = self.ingress.pop()
+            if entry is None:
+                return
+            self._enter(entry)
+
+    def _count_shed(self, stage: str, reason: str) -> None:
+        key = (stage, reason)
+        self.shed_totals[key] = self.shed_totals.get(key, 0) + 1
+        if self.shed_observer is not None:
+            self.shed_observer(stage, reason)
+        telemetry = self.runtime.telemetry
+        if telemetry is not None and key not in self._announced_sheds:
+            # Sparse: one event per (stage, reason) per instance life;
+            # volumes live in pprox_shed_total.  Payload carries no
+            # request identifiers, so the layer's redaction role has
+            # nothing to scrub but also nothing to leak.
+            self._announced_sheds.add(key)
+            telemetry.event_log.emit(
+                "shed",
+                self.role,
+                {
+                    "event": "request_shed",
+                    "stage": stage,
+                    "reason": reason,
+                    "instance": self.name,
+                },
+            )
+
+    def _shed(self, stage: str, reason: str, request_id: int, reply: ReplyFn) -> None:
+        self._count_shed(stage, reason)
+        reply(uniform_reject(request_id))
+
+    def _shed_from_queue(self, entry: tuple, reason: str) -> None:
+        self._shed(STAGE_QUEUE, reason, entry[0].request_id, entry[1])
+
+    # -- forward step --------------------------------------------------
+
+    def _start_forward(
+        self,
+        entry: tuple,
+        attrs: Optional[dict] = None,
+        sink: Optional[_BatchCollector] = None,
+    ) -> None:
+        if attrs is None:
+            attrs = self._forward_attrs()
+        service_time = self._request_leg()
+        self._submit(service_time, lambda: self._forward(entry, service_time, attrs, sink))
+
+    def _forward(
+        self, entry: tuple, service_time: float, attrs: dict, sink: Optional[_BatchCollector]
+    ) -> None:
+        """Transform the entry's request in the enclave and pass it on:
+        shipped to an upstream picked now, or — in batch-envelope mode —
+        into *sink*, the flush's collector, which picks one upstream for
+        the whole sealed batch."""
+        request, reply = entry[0], entry[1]
+        arrived = entry[2] if len(entry) > 2 else None
+        remaining = entry[3] if len(entry) > 3 else None
+        ecalls_before = self.enclave.ecall_count
+        try:
+            transformed, context = self._transform_request(request)
+        except Exception:
+            # Stale client material vs. rotated layer keys (breach
+            # response mid-flight): reject retryably, never crash.  Not
+            # even the exception *type* crosses the wire — messages can
+            # quote the payload, and type names correlate with layer
+            # state; the cause survives only in ``transform_errors``.
+            self.transform_errors += 1
+            reply(uniform_reject(request.request_id))
+            if sink is not None:
+                sink.skip()
+            self._pump()
+            return
+        upstream = None
+        if sink is None:
+            try:
+                upstream = self._pick_upstream(request)
+            except BalancerError:
+                # NoUpstream: every upstream is ejected, so reject
+                # retryably before registering any routing state.  On
+                # the UA this request already traversed the shuffle
+                # batch, so it is not a load shed — but the reject is
+                # still the uniform message, indistinguishable from one.
+                self.no_upstream += 1
+                self._shed(STAGE_UPSTREAM, "no_upstream", request.request_id, reply)
+                self._pump()
+                return
+        if remaining is not None:
+            # Charge this hop's queueing + service time to the budget
+            # and restamp (the hardened-mode transform rebuilds the
+            # request from sealed inner fields, dropping the top-level
+            # budget).  Never shed here: on the UA the request already
+            # traversed the shuffle, and post-shuffle drops would thin
+            # the batch below S.
+            if arrived is not None:
+                remaining = charge(remaining, self.runtime.loop.now - arrived)
+            transformed = stamp_deadline(transformed, remaining)
+        self.routing.register(request.request_id, (reply, context))
+        self.requests_processed += 1
+        self.enclave.ocall()
+        telemetry = self.runtime.telemetry
+        if telemetry is not None:
+            self._annotate(
+                request.request_id,
+                service_time,
+                **attrs,
+                ecalls=self.enclave.ecall_count - ecalls_before,
+            )
+            telemetry.tracer.record_hop(request.request_id, self.role, self.upstream_role)
+        if sink is not None:
+            sink.add(transformed)
+        else:
+            reply_from_upstream = self._reply_from(upstream)
+            ship(
+                self.runtime.network, self.runtime.codec, self.address,
+                upstream.address, transformed,
+                lambda req: self._deliver(upstream, req, reply_from_upstream),
+            )
+        self._pump()
+
+    def _reply_from(self, upstream: Any) -> ReplyFn:
+        """The reply callback handed to *upstream*: ships its response
+        back into this instance's return path."""
+        network = self.runtime.network
+        codec = self.runtime.codec
+        telemetry = self.runtime.telemetry
+
+        def reply(response: Response) -> None:
+            if telemetry is not None:
+                # Same virtual instant as the wire record ship() makes.
+                self._annotate_upstream_reply(response, upstream)
+                telemetry.tracer.record_hop(
+                    response.request_id, self.upstream_role, self.role
+                )
+            ship(network, codec, upstream.address, self.address, response,
+                 self._receive_response)
+
+        return reply
+
+    def _annotate(self, request_id: int, service_time: float, **attrs: Any) -> None:
+        """Attach this instance's cost and enclave-boundary attributes
+        to the request's open span."""
+        pending = len(self.routing)
+        attrs["routing_pending"] = pending
+        sgx = self.runtime.costs.sgx
+        if self.runtime.config.sgx and sgx.enabled:
+            attrs["sgx_overhead_seconds"] = sgx.request_overhead(
+                pending, self.enclave.performance_penalty
+            )
+            attrs["epc_paging"] = pending > sgx.epc_entries
+        self.runtime.telemetry.tracer.annotate(
+            request_id, instance=self.name, service_seconds=service_time, **attrs
+        )
+
+    # -- return step ---------------------------------------------------
+
+    def _receive_response(self, response: Response) -> None:
+        if not self.alive:
+            return
+        if self.response_buffer is not None:
+            self.response_buffer.add(response)
+        else:
+            self._start_return(response)
+
+    def _start_return(self, response: Response) -> None:
+        service_time, attrs = self._response_leg(response)
+        self._submit(
+            service_time, lambda: self._return_response(response, service_time, attrs)
+        )
+
+    def _return_response(
+        self,
+        response: Response,
+        service_time: float = 0.0,
+        attrs: Optional[dict] = None,
+    ) -> None:
+        if response.request_id not in self.routing:
+            # The route predates a crash/restart; the client's retry
+            # already travels under a fresh id.
+            self.stale_responses += 1
+            self._pump()
+            return
+        reply, context = self.routing.consume(response.request_id)
+        if not response.ok:
+            # Whatever failed upstream (brownout text, guard shed,
+            # backend or transform error), the next hop carries only the
+            # canonical reject: cause strings correlate with upstream
+            # state that must stay behind the redaction boundary, and a
+            # shed must look exactly like any other failure.  Rewritten
+            # before the transform, so a hardened UA seals the reject.
+            self.rejects_normalized += 1
+            response = uniform_reject(response.request_id)
+        ecalls_before = self.enclave.ecall_count
+        try:
+            transformed = self._transform_response(context, response)
+        except Exception:
+            self.transform_errors += 1
+            reply(uniform_reject(response.request_id))
+            self._pump()
+            return
+        self.responses_processed += 1
+        self.enclave.ocall()
+        if self.runtime.telemetry is not None:
+            # The outbound span closes when the next hop records its
+            # hop inside *reply*.
+            extra = {} if attrs is None else {
+                **attrs, "ecalls": self.enclave.ecall_count - ecalls_before
+            }
+            self._annotate(response.request_id, service_time, **extra)
+        reply(transformed)
+        self._pump()
+
+    # -- keys and dual-epoch trials ------------------------------------
+
+    def _keys_for(self, tenant: str) -> LayerKeys:
+        """Resolve key material; single-tenant deployments ignore
+        *tenant* (multi-tenant subclasses dispatch on it, §6.3)."""
+        return self._slot_keys(*self.key_slots)
+
+    def _slot_keys(self, sk_slot: str, k_slot: str) -> LayerKeys:
+        """Reconstruct key material from sealed enclave slots."""
+        return LayerKeys(
+            private_key=self.enclave.secret(sk_slot),
+            symmetric_key=self.enclave.secret(k_slot),
+        )
+
+    def _note_previous_use(self) -> None:
+        self.previous_epoch_decrypts += 1
+        self.last_previous_epoch_use = self.runtime.loop.now
+
+    def _trial(
+        self,
+        active: LayerKeys,
+        attempt: Callable[[LayerKeys], Any],
+        check: Optional[Callable[[LayerKeys], Any]] = None,
+    ) -> Any:
+        """Run ``attempt(keys)``, dual-epoch aware.
+
+        Outside a rotation window this is the single active-key call
+        (zero extra ecalls — the window check is host-side).  During a
+        window the active then the previous private key are trialled;
+        *check* runs first on each candidate to reject a wrong key that
+        decrypts silently to garbage.
+        """
+        window = epoch_window_of(self.enclave)
+        if window is None:
+            return attempt(active)
+        last_error: Optional[Exception] = None
+        for candidate, is_previous in window_candidates(self.enclave, active, window):
+            try:
+                if check is not None:
+                    check(candidate)
+                result = attempt(candidate)
+            except Exception as exc:
+                last_error = exc
+                continue
+            if is_previous:
+                self._note_previous_use()
+            return result
+        raise last_error  # type: ignore[misc]  # loop ran at least once
+
+    def _transform_request(self, request: Request) -> Tuple[Request, Any]:
+        """The layer's request transform under trial keys.  Whichever
+        epoch a message was sealed under, the forward pseudonym is
+        minted under the active symmetric key, so nothing downstream of
+        this enclave ever sees an old-epoch identifier again."""
+        if not self.runtime.config.encryption:
+            return self._transform(None, request)
+        probe = self._probe_field(request)
+
+        def check(keys: LayerKeys) -> None:
+            # Providers without authenticated decryption return garbage
+            # (not an exception) under the wrong key; the fixed-size
+            # identifier encoding acts as the validator.
+            decode_identifier(
+                self.runtime.provider.asym_decrypt(
+                    keys, self.runtime.field_blob(request.fields[probe])
+                )
+            )
+
+        return self._trial(
+            self._keys_for(_tenant_of(request)),
+            lambda keys: self._transform(keys, request),
+            check if probe is not None else None,
+        )
+
+    # -- layer hooks ---------------------------------------------------
+
+    def _forward_attrs(self) -> dict:
+        """Span attributes of the forward step besides the defaults."""
+        return {}
+
+    def _annotate_upstream_reply(self, response: Response, upstream: Any) -> None:
+        """Span attributes recorded when *upstream* replies."""
+
+
+@dataclass
+class UserAnonymizer(_ProxyLayer):
+    """One UA-layer proxy instance (first layer, client-facing):
+    shuffles requests, and seals each flush into one envelope when the
+    codec supports it."""
+
+    role = "ua"
+    upstream_role = "ia"
+    key_slots = (UA_SECRET_SK, UA_SECRET_K)
+
+    ia_balancer: LoadBalancer
+    request_buffer: Optional[ShuffleBuffer] = field(default=None, kw_only=True)
+    admission: Optional[AdmissionController] = field(default=None, kw_only=True)
+    #: Epoch tags stripped at the front door (pre-shuffle, so batches
+    #: never carry an epoch marker an adversary could partition by).
+    epoch_tags_seen: int = 0
+    #: Causal trace ids severed at the front door (pre-shuffle, so no
+    #: trace can be followed through the batch — the linkage channel a
+    #: conventional tracer would open is closed here by construction).
+    trace_tags_seen: int = 0
+    #: Shuffle batches sealed into a single hybrid envelope
+    #: (batch-envelope mode only).
+    batch_envelopes_sealed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.runtime.config.shuffling and self.request_buffer is None:
+            self.request_buffer = self._shuffle_buffer("requests", self._start_forward)
+        codec = self.runtime.codec
+        if (
+            codec is not None
+            and codec.batch_envelopes
+            and self.runtime.config.encryption
+            and self.request_buffer is not None
+            # Runtimes without a shared IA key (multi-tenant stacks
+            # hold per-tenant keys instead) fall back to per-request
+            # sends; a batch envelope needs one sealing key.
+            and self.runtime.ia_public is not None
+        ):
+            # Batch-envelope mode: a flush becomes one sealed envelope
+            # to one IA instance instead of S independent sends.
+            self.request_buffer.release_batch = self._release_batch
+        policy = self.runtime.overload
+        if policy is not None and self.admission is None:
+            self.admission = policy.make_admission()
+
+    def _sever(self, request: Request) -> Request:
         if EPOCH_FIELD in request.fields:
             # Strip the epoch tag before the request can enter the
             # shuffle buffer: whatever a batch holds is tag-free, so
@@ -408,245 +762,66 @@ class UserAnonymizer:
             self.trace_tags_seen += 1
             if self.runtime.causal is not None:
                 self.runtime.causal.absorb(self.name)
-        if self.ingress is None:
-            entry = (request, reply)
-            if self.request_buffer is not None:
-                self.request_buffer.add(entry)
-            else:
-                self._start_processing(entry)
-            return
-        policy = self.runtime.overload
-        remaining = decode_deadline(request)
-        if remaining is not None and self.deadline_observer is not None:
-            self.deadline_observer(remaining)
-        if policy.enforce_deadlines and remaining is not None and remaining <= 0.0:
-            # Spent budget: the client already gave up, so shed before
-            # any enclave entry-cost is paid for this request.
-            self._count_shed(STAGE_DEADLINE, "expired")
-            reply(uniform_reject(request.request_id))
-            return
-        if self.admission is not None:
-            refusal = self.admission.admit(self.overload_signal())
-            if refusal is not None:
-                self._count_shed(STAGE_ADMISSION, refusal)
-                reply(uniform_reject(request.request_id))
-                return
-        self.ingress.push((request, reply, self.runtime.loop.now, remaining))
-        self._pump()
+        return request
 
-    def _pump(self) -> None:
-        """Drain admitted entries into the shuffle buffer / node while
-        the in-flight window has room.  Sheds decided at dequeue time
-        (CoDel sojourn) happen here — still pre-shuffle."""
-        if self.ingress is None:
-            return
-        while True:
-            buffered = self.request_buffer.pending if self.request_buffer else 0
-            if self.node.pending + buffered >= self._pump_window:
-                return
-            entry = self.ingress.pop()
-            if entry is None:
-                return
-            if self.request_buffer is not None:
-                self.request_buffer.add(entry)
-            else:
-                self._start_processing(entry)
+    def _forward_attrs(self) -> dict:
+        buffer = self.request_buffer
+        return {"shuffle_wait_seconds": buffer.last_wait if buffer is not None else 0.0}
 
-    def _start_processing(self, entry: tuple) -> None:
-        request, reply = entry[0], entry[1]
-        arrived = entry[2] if len(entry) > 2 else None
-        remaining = entry[3] if len(entry) > 3 else None
-        shuffle_wait = (
-            self.request_buffer.last_wait if self.request_buffer is not None else 0.0
-        )
-        service_time = self.runtime.costs.ua_request_leg(
+    def _request_leg(self) -> float:
+        return self.runtime.costs.ua_request_leg(
             self.runtime.config, len(self.routing), self.enclave.performance_penalty
         )
-        generation = self.generation
-        self.node.submit(
-            service_time,
-            lambda: self._forward(
-                request,
-                reply,
-                service_time,
-                shuffle_wait,
-                generation,
-                arrived=arrived,
-                remaining=remaining,
-            ),
+
+    def _response_leg(self, response: Response) -> Tuple[float, Optional[dict]]:
+        service_time = self.runtime.costs.ua_response_leg(
+            self.runtime.config, len(self.routing), self.enclave.performance_penalty
+        )
+        return service_time, None
+
+    def _probe_field(self, request: Request) -> Optional[str]:
+        # Hardened mode self-validates via its JSON envelope inside the
+        # transform.
+        return None if self.runtime.config.harden_client_hop else "user"
+
+    def _transform(self, keys: Optional[LayerKeys], request: Request):
+        return protocol.ua_transform_request(
+            self.runtime.provider, keys, self.runtime.config, request,
+            self.address, codec=self.runtime.codec,
         )
 
-    def _forward(
-        self,
-        request: Request,
-        reply: ReplyFn,
-        service_time: float = 0.0,
-        shuffle_wait: float = 0.0,
-        generation: Optional[int] = None,
-        arrived: Optional[float] = None,
-        remaining: Optional[float] = None,
-    ) -> None:
-        if not self.alive or (generation is not None and generation != self.generation):
-            return
-        ecalls_before = self.enclave.ecall_count
-        try:
-            transformed, response_key = self._transform_request(request)
-        except Exception as exc:
-            # Stale client material vs. rotated layer keys (breach
-            # response mid-flight): reject retryably, never crash.
-            self.transform_errors += 1
-            reply(transform_error_response(request, exc))
-            self._pump()
-            return
-        try:
-            ia = self.ia_balancer.pick()
-        except BalancerError:
-            # Every IA is ejected (NoUpstream): nowhere to route, so
-            # reject retryably before registering any routing state.
-            # This request already traversed the shuffle batch, so it
-            # is not a load shed — but the reject is still the uniform
-            # message, indistinguishable from one.
-            self.no_upstream += 1
-            self._count_shed(STAGE_UPSTREAM, "no_upstream")
-            reply(uniform_reject(request.request_id))
-            self._pump()
-            return
-        if remaining is not None:
-            # Charge this hop's queueing + service time to the budget
-            # and restamp (the hardened-mode transform rebuilds the
-            # request from sealed inner fields, dropping the top-level
-            # budget).  Never shed here: the request already traversed
-            # the shuffle, and post-shuffle drops would thin the batch
-            # below S.
-            if arrived is not None:
-                remaining = charge(remaining, self.runtime.loop.now - arrived)
-            transformed = stamp_deadline(transformed, remaining)
-        self.routing.register(request.request_id, (reply, response_key))
-        self.requests_processed += 1
-        network = self.runtime.network
-        codec = self.runtime.codec
-        telemetry = self.runtime.telemetry
+    def _transform_response(self, response_key: Optional[bytes], response: Response) -> Response:
+        return protocol.ua_wrap_response(
+            self.runtime.provider, self.runtime.config, response_key, response,
+            codec=self.runtime.codec,
+        )
 
-        def reply_from_ia(response: Response) -> None:
-            if telemetry is not None:
-                # Same virtual instant as the ia->ua wire record below.
-                telemetry.tracer.record_hop(response.request_id, "ia", "ua")
-            ship(network, codec, ia.address, self.address, response,
-                 self._receive_response)
+    def _pick_upstream(self, request: Request) -> "ItemAnonymizer":
+        return self.ia_balancer.pick()
 
-        self.enclave.ocall()
-        if telemetry is not None:
-            telemetry.tracer.annotate(
-                request.request_id,
-                instance=self.name,
-                service_seconds=service_time,
-                shuffle_wait_seconds=shuffle_wait,
-                ecalls=self.enclave.ecall_count - ecalls_before,
-                routing_pending=len(self.routing),
-                **_sgx_attrs(self.runtime, self.enclave, len(self.routing)),
-            )
-            telemetry.tracer.record_hop(request.request_id, "ua", "ia")
-        ship(network, codec, self.address, ia.address, transformed,
-             lambda req: ia.receive_request(req, reply_from_ia))
-        self._pump()
+    def _deliver(self, ia: "ItemAnonymizer", request: Request, reply: ReplyFn) -> None:
+        ia.receive_request(request, reply)
 
-    # -- batch-envelope request path -----------------------------------
+    # -- batch envelopes -----------------------------------------------
 
     def _release_batch(self, batch: list) -> None:
         """Shuffle-flush hook in batch-envelope mode.
 
-        The flushed batch is transformed per request on this node
-        (same enclave legs as the per-request path), collected, then
-        sealed into ONE hybrid envelope and sent to one IA instance —
-        amortizing the asymmetric operation across the whole batch.
+        Every flushed entry takes the ordinary forward step on this
+        node, with the flush's collector as its sink; once the last one
+        lands the batch is sealed into ONE hybrid envelope and sent to
+        one IA instance — amortizing the asymmetric operation across
+        the whole batch.
         """
-        collector = _BatchCollector(expected=len(batch))
+        collector = _BatchCollector(len(batch), self._seal_and_send)
         now = self.runtime.loop.now
         for entry, enqueued_at in batch:
-            request, reply = entry[0], entry[1]
-            arrived = entry[2] if len(entry) > 2 else None
-            remaining = entry[3] if len(entry) > 3 else None
-            shuffle_wait = now - enqueued_at
-            service_time = self.runtime.costs.ua_request_leg(
-                self.runtime.config, len(self.routing), self.enclave.performance_penalty
-            )
-            generation = self.generation
-            self.node.submit(
-                service_time,
-                lambda request=request, reply=reply, service_time=service_time,
-                shuffle_wait=shuffle_wait, generation=generation,
-                arrived=arrived, remaining=remaining: self._forward_batched(
-                    request,
-                    reply,
-                    collector,
-                    service_time,
-                    shuffle_wait,
-                    generation,
-                    arrived=arrived,
-                    remaining=remaining,
-                ),
+            self._start_forward(
+                entry, {"shuffle_wait_seconds": now - enqueued_at}, collector
             )
 
-    def _forward_batched(
-        self,
-        request: Request,
-        reply: ReplyFn,
-        collector: _BatchCollector,
-        service_time: float = 0.0,
-        shuffle_wait: float = 0.0,
-        generation: Optional[int] = None,
-        arrived: Optional[float] = None,
-        remaining: Optional[float] = None,
-    ) -> None:
-        """Per-request half of a batch flush: transform and collect."""
-        if not self.alive or (generation is not None and generation != self.generation):
-            collector.skip()
-            self._maybe_seal(collector)
-            return
-        ecalls_before = self.enclave.ecall_count
-        try:
-            transformed, response_key = self._transform_request(request)
-        except Exception as exc:
-            self.transform_errors += 1
-            reply(transform_error_response(request, exc))
-            collector.skip()
-            self._maybe_seal(collector)
-            self._pump()
-            return
-        if remaining is not None:
-            if arrived is not None:
-                remaining = charge(remaining, self.runtime.loop.now - arrived)
-            transformed = stamp_deadline(transformed, remaining)
-        self.routing.register(request.request_id, (reply, response_key))
-        self.requests_processed += 1
-        self.enclave.ocall()
-        telemetry = self.runtime.telemetry
-        if telemetry is not None:
-            telemetry.tracer.annotate(
-                request.request_id,
-                instance=self.name,
-                service_seconds=service_time,
-                shuffle_wait_seconds=shuffle_wait,
-                ecalls=self.enclave.ecall_count - ecalls_before,
-                routing_pending=len(self.routing),
-                **_sgx_attrs(self.runtime, self.enclave, len(self.routing)),
-            )
-            telemetry.tracer.record_hop(request.request_id, "ua", "ia")
-        collector.add(transformed)
-        self._maybe_seal(collector)
-        self._pump()
-
-    def _maybe_seal(self, collector: _BatchCollector) -> None:
-        if not collector.complete:
-            return
-        collector.sealed = True
-        if not collector.requests:
-            return
-        self._seal_and_send(collector.requests)
-
-    def _seal_and_send(self, requests: list) -> None:
+    def _seal_and_send(self, requests: List[Request]) -> None:
         """Seal transformed *requests* into one envelope, route to one IA."""
-        codec = self.runtime.codec
         try:
             ia = self.ia_balancer.pick()
         except BalancerError:
@@ -654,10 +829,9 @@ class UserAnonymizer:
             for request in requests:
                 if request.request_id in self.routing:
                     reply, _ = self.routing.consume(request.request_id)
-                    self._count_shed(STAGE_UPSTREAM, "no_upstream")
-                    reply(uniform_reject(request.request_id))
+                    self._shed(STAGE_UPSTREAM, "no_upstream", request.request_id, reply)
             return
-        frames = [codec.encode_request(request) for request in requests]
+        frames = [self.runtime.codec.encode_request(request) for request in requests]
         sealer = EnvelopeCodec(self.runtime.provider)
         blob = sealer.seal_batch(self.runtime.ia_public(), frames)
         envelope = BatchEnvelope(
@@ -667,16 +841,8 @@ class UserAnonymizer:
             source=self.address,
         )
         self.batch_envelopes_sealed += 1
-        network = self.runtime.network
-        telemetry = self.runtime.telemetry
-
-        def reply_from_ia(response: Response) -> None:
-            if telemetry is not None:
-                telemetry.tracer.record_hop(response.request_id, "ia", "ua")
-            ship(network, codec, ia.address, self.address, response,
-                 self._receive_response)
-
-        network.send(
+        reply_from_ia = self._reply_from(ia)
+        self.runtime.network.send(
             self.address,
             ia.address,
             envelope,
@@ -684,298 +850,27 @@ class UserAnonymizer:
             lambda env: ia.receive_batch(env, reply_from_ia),
         )
 
-    # -- response path -------------------------------------------------
-
-    def _receive_response(self, response: Response) -> None:
-        if not self.alive:
-            return
-        service_time = self.runtime.costs.ua_response_leg(
-            self.runtime.config, len(self.routing), self.enclave.performance_penalty
-        )
-        generation = self.generation
-        self.node.submit(
-            service_time,
-            lambda: self._return_to_client(response, service_time, generation),
-        )
-
-    def _return_to_client(
-        self,
-        response: Response,
-        service_time: float = 0.0,
-        generation: Optional[int] = None,
-    ) -> None:
-        if not self.alive or (generation is not None and generation != self.generation):
-            return
-        if response.request_id not in self.routing:
-            # The route predates a crash/restart; the client's retry
-            # already travels under a fresh id.
-            self.stale_responses += 1
-            self._pump()
-            return
-        reply, response_key = self.routing.consume(response.request_id)
-        if not response.ok:
-            # Whatever failed upstream (brownout text, guard shed,
-            # transform error), the client-facing wire carries only the
-            # canonical reject: cause strings correlate with IA/LRS
-            # state that must stay behind the redaction boundary.
-            self.rejects_normalized += 1
-            response = uniform_reject(response.request_id)
-        wrapped = protocol.ua_wrap_response(
-            self.runtime.provider,
-            self.runtime.config,
-            response_key,
-            response,
-            codec=self.runtime.codec,
-        )
-        self.responses_processed += 1
-        self.enclave.ocall()
-        telemetry = self.runtime.telemetry
-        if telemetry is not None:
-            # The ua_outbound span closes when the client-side library
-            # records the ua->client hop inside *reply*.
-            telemetry.tracer.annotate(
-                response.request_id,
-                instance=self.name,
-                service_seconds=service_time,
-                routing_pending=len(self.routing),
-                **_sgx_attrs(self.runtime, self.enclave, len(self.routing)),
-            )
-        reply(wrapped)
-        self._pump()
-
-    def _keys_for(self, tenant: str) -> LayerKeys:
-        """Resolve key material; single-tenant deployments ignore
-        *tenant* (multi-tenant subclasses dispatch on it, §6.3)."""
-        from repro.sgx.provisioning import UA_SECRET_K, UA_SECRET_SK
-
-        return _layer_keys(self.enclave, UA_SECRET_SK, UA_SECRET_K)
-
-    def _transform_request(self, request: Request) -> Tuple[Request, Optional[bytes]]:
-        """UA transform, dual-epoch aware.
-
-        Outside a rotation window this is exactly the legacy single-key
-        call (zero extra ecalls — the window check is host-side).
-        During a window, decryption is trialled under the active then
-        the previous private key; the forward pseudonym is minted under
-        the active symmetric key either way, so nothing downstream of
-        this enclave ever sees an old-epoch identifier again.
-        """
-        config = self.runtime.config
-        provider = self.runtime.provider
-        codec = self.runtime.codec
-        if not config.encryption:
-            return protocol.ua_transform_request(
-                provider, None, config, request, self.address, codec=codec
-            )
-        active = self._keys_for(_tenant_of(request))
-        window = epoch_window_of(self.enclave)
-        if window is None:
-            return protocol.ua_transform_request(
-                provider, active, config, request, self.address, codec=codec
-            )
-        last_error: Optional[Exception] = None
-        for candidate, is_previous in window_candidates(self.enclave, active, window):
-            try:
-                if not config.harden_client_hop:
-                    # Providers without authenticated decryption return
-                    # garbage (not an exception) under the wrong key;
-                    # the fixed-size identifier encoding acts as the
-                    # validator.  Hardened mode self-validates via its
-                    # JSON envelope inside the transform.
-                    decode_identifier(
-                        provider.asym_decrypt(
-                            candidate,
-                            self.runtime.field_blob(request.fields["user"]),
-                        )
-                    )
-                result = protocol.ua_transform_request(
-                    provider, candidate, config, request, self.address, codec=codec
-                )
-            except Exception as exc:
-                last_error = exc
-                continue
-            if is_previous:
-                self.previous_epoch_decrypts += 1
-                self.last_previous_epoch_use = self.runtime.loop.now
-            return result
-        raise last_error  # type: ignore[misc]  # loop ran at least once
-
 
 @dataclass
-class ItemAnonymizer:
-    """One IA-layer proxy instance (second layer, LRS-facing)."""
+class ItemAnonymizer(_ProxyLayer):
+    """One IA-layer proxy instance (second layer, LRS-facing):
+    shuffles responses and opens UA-sealed batch envelopes."""
 
-    name: str
-    runtime: ProxyRuntime
-    enclave: Enclave
+    role = "ia"
+    upstream_role = "lrs"
+    key_slots = (IA_SECRET_SK, IA_SECRET_K)
+
     #: Callable returning the LRS backend for the next request.
     lrs_picker: Callable[[], object]
-    node: SimNode = None  # type: ignore[assignment]
-    routing: RoutingTable = field(default_factory=lambda: RoutingTable(name="T-ia"))
-    response_buffer: Optional[ShuffleBuffer] = None
-    requests_processed: int = 0
-    responses_processed: int = 0
-    #: Crash-stop failure flag (see :class:`UserAnonymizer`).
-    alive: bool = True
-    #: Restart generation (see :class:`UserAnonymizer`).
-    generation: int = 0
-    transform_errors: int = 0
-    stale_responses: int = 0
-    #: Dual-epoch accounting (see :class:`UserAnonymizer`).
-    previous_epoch_decrypts: int = 0
-    last_previous_epoch_use: Optional[float] = None
+    response_buffer: Optional[ShuffleBuffer] = field(default=None, kw_only=True)
     #: Sealed batch envelopes opened (batch-envelope mode only).
     batch_envelopes_opened: int = 0
-    #: Bounded ingress queue (overload mode only; ``None`` otherwise).
-    ingress: Optional[ConcurrentQueue] = None
-    #: Requests shed at this instance, keyed by ``(stage, reason)``.
-    shed_totals: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: Requests rejected because the LRS pool had no backend.
-    no_upstream: int = 0
-    #: Non-ok responses rewritten to the uniform reject before they
-    #: crossed the ia->ua hop.
-    rejects_normalized: int = 0
-    #: Telemetry hooks (see :class:`UserAnonymizer`).
-    shed_observer: Optional[Callable[[str, str], None]] = None
-    deadline_observer: Optional[Callable[[float], None]] = None
-    _pump_window: int = 0
-    _announced_sheds: Set[Tuple[str, str]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        if self.node is None:
-            self.node = SimNode(name=self.name, loop=self.runtime.loop, cores=2)
+        # No admission controller here: the UA is the front door.
+        super().__post_init__()
         if self.runtime.config.shuffling and self.response_buffer is None:
-            self.response_buffer = ShuffleBuffer(
-                loop=self.runtime.loop,
-                rng=self.runtime.rng,
-                size=self.runtime.config.shuffle_size,
-                timeout=self.runtime.config.shuffle_timeout,
-                release=self._start_response_processing,
-                name=f"{self.name}-responses",
-            )
-        policy = self.runtime.overload
-        if policy is not None:
-            if self.ingress is None:
-                self.ingress = policy.make_ingress_queue(
-                    f"{self.name}-ingress", clock=lambda: self.runtime.loop.now
-                )
-            self.ingress.on_shed = self._shed_from_queue
-            # No admission controller here: the UA is the front door.
-            # Response-side submissions share the node, so the window
-            # must cover a full flushed batch of S responses too.
-            self._pump_window = max(
-                policy.max_inflight, self.runtime.config.shuffle_size
-            )
-
-    @property
-    def address(self) -> str:
-        """Network address of this instance."""
-        return self.name
-
-    @property
-    def pending(self) -> int:
-        """Outstanding work (load-balancer signal)."""
-        buffered = self.response_buffer.pending if self.response_buffer else 0
-        queued = self.ingress.depth if self.ingress is not None else 0
-        return self.node.pending + len(self.routing) + buffered + queued
-
-    @property
-    def sheds(self) -> int:
-        """Total requests shed at this instance (all stages)."""
-        return sum(self.shed_totals.values())
-
-    def overload_signal(self) -> OverloadSignal:
-        """Point-in-time overload indicators for this instance."""
-        depth = self.ingress.depth if self.ingress is not None else 0
-        sojourn = self.ingress.oldest_sojourn() if self.ingress is not None else 0.0
-        pressure = (
-            self.runtime.costs.sgx.paging_pressure(len(self.routing))
-            if self.runtime.config.sgx
-            else 0.0
-        )
-        return OverloadSignal(
-            queue_depth=depth,
-            queue_sojourn=sojourn,
-            inflight=self.node.pending,
-            epc_pressure=pressure,
-        )
-
-    def _count_shed(self, stage: str, reason: str) -> None:
-        key = (stage, reason)
-        self.shed_totals[key] = self.shed_totals.get(key, 0) + 1
-        if self.shed_observer is not None:
-            self.shed_observer(stage, reason)
-        telemetry = self.runtime.telemetry
-        if telemetry is not None and key not in self._announced_sheds:
-            self._announced_sheds.add(key)
-            telemetry.event_log.emit(
-                "shed",
-                "ia",
-                {
-                    "event": "request_shed",
-                    "stage": stage,
-                    "reason": reason,
-                    "instance": self.name,
-                },
-            )
-
-    def _shed_from_queue(self, entry: tuple, reason: str) -> None:
-        request, reply = entry[0], entry[1]
-        self._count_shed(STAGE_QUEUE, reason)
-        reply(uniform_reject(request.request_id))
-
-    # -- request path --------------------------------------------------
-
-    def fail(self) -> int:
-        """Crash-stop this instance (drops its buffered response batch).
-        Returns the number of buffered entries drained."""
-        self.alive = False
-        if self.response_buffer is not None:
-            return self.response_buffer.drain()
-        return 0
-
-    def restart(self, enclave: Enclave) -> None:
-        """Come back from a crash (see :meth:`UserAnonymizer.restart`)."""
-        if self.alive:
-            raise RuntimeError(f"instance {self.name!r} is alive; nothing to restart")
-        if not enclave.attested:
-            raise ValueError(
-                f"enclave {enclave.name!r} must complete attestation and "
-                "provisioning before it can serve"
-            )
-        self.generation += 1
-        self.enclave = enclave
-        self.routing = RoutingTable(name=f"T-ia-g{self.generation}")
-        policy = self.runtime.overload
-        if policy is not None:
-            self.ingress = policy.make_ingress_queue(
-                f"{self.name}-ingress-g{self.generation}",
-                clock=lambda: self.runtime.loop.now,
-            )
-            self.ingress.on_shed = self._shed_from_queue
-        self.alive = True
-
-    def receive_request(self, request: Request, reply: ReplyFn) -> None:
-        """Entry point for a UA-forwarded request."""
-        if not self.alive:
-            return
-        if self.ingress is None:
-            self._start_request_processing((request, reply))
-            return
-        policy = self.runtime.overload
-        remaining = decode_deadline(request)
-        if remaining is not None and self.deadline_observer is not None:
-            self.deadline_observer(remaining)
-        if policy.enforce_deadlines and remaining is not None and remaining <= 0.0:
-            # Pre-enclave shed.  Safe for anonymity: this is the IA's
-            # *request* path; the batch the IA randomizes is responses,
-            # and the reject joins that shuffle downstream like any
-            # LRS reply would.
-            self._count_shed(STAGE_DEADLINE, "expired")
-            reply(uniform_reject(request.request_id))
-            return
-        self.ingress.push((request, reply, self.runtime.loop.now, remaining))
-        self._pump()
+            self.response_buffer = self._shuffle_buffer("responses", self._start_return)
 
     def receive_batch(self, envelope: BatchEnvelope, reply: ReplyFn) -> None:
         """Entry point for a UA-sealed shuffle batch (batch-envelope
@@ -985,8 +880,7 @@ class ItemAnonymizer:
             return
         try:
             requests = self._open_envelope(envelope)
-        except Exception as exc:
-            del exc
+        except Exception:
             # The whole batch is undecryptable (e.g. sealed under keys
             # this enclave no longer holds): every inner request gets
             # the same uniform retryable reject.
@@ -1006,33 +900,18 @@ class ItemAnonymizer:
         the validator, exactly like the fixed-size identifier encoding
         does on the per-request path.
         """
-        codec = self.runtime.codec
         opener = EnvelopeCodec(self.runtime.provider)
-        active = self._keys_for(DEFAULT_TENANT)
-        window = epoch_window_of(self.enclave)
-        frames = None
-        if window is None:
-            frames = opener.open_batch(active, envelope.blob)
-        else:
-            last_error: Optional[Exception] = None
-            for candidate, is_previous in window_candidates(self.enclave, active, window):
-                try:
-                    frames = opener.open_batch(candidate, envelope.blob)
-                except Exception as exc:
-                    last_error = exc
-                    continue
-                if is_previous:
-                    self._note_previous_use()
-                break
-            if frames is None:
-                raise last_error  # type: ignore[misc]  # loop ran at least once
+        frames = self._trial(
+            self._keys_for(DEFAULT_TENANT),
+            lambda keys: opener.open_batch(keys, envelope.blob),
+        )
         if len(frames) != len(envelope.request_ids):
             raise ValueError(
                 f"batch envelope frame count {len(frames)} != "
                 f"{len(envelope.request_ids)} announced requests"
             )
         return [
-            codec.decode_request(
+            self.runtime.codec.decode_request(
                 frame,
                 verb=verb,
                 request_id=request_id,
@@ -1043,113 +922,12 @@ class ItemAnonymizer:
             )
         ]
 
-    def _pump(self) -> None:
-        """Drain admitted requests into the node while the in-flight
-        window has room (dequeue-time sheds happen here)."""
-        if self.ingress is None:
-            return
-        while self.node.pending < self._pump_window:
-            entry = self.ingress.pop()
-            if entry is None:
-                return
-            self._start_request_processing(entry)
-
-    def _start_request_processing(self, entry: tuple) -> None:
-        request, reply = entry[0], entry[1]
-        arrived = entry[2] if len(entry) > 2 else None
-        remaining = entry[3] if len(entry) > 3 else None
-        service_time = self.runtime.costs.ia_request_leg(
+    def _request_leg(self) -> float:
+        return self.runtime.costs.ia_request_leg(
             self.runtime.config, len(self.routing), self.enclave.performance_penalty
         )
-        generation = self.generation
-        self.node.submit(
-            service_time,
-            lambda: self._forward(
-                request,
-                reply,
-                service_time,
-                generation,
-                arrived=arrived,
-                remaining=remaining,
-            ),
-        )
 
-    def _forward(
-        self,
-        request: Request,
-        reply: ReplyFn,
-        service_time: float = 0.0,
-        generation: Optional[int] = None,
-        arrived: Optional[float] = None,
-        remaining: Optional[float] = None,
-    ) -> None:
-        if not self.alive or (generation is not None and generation != self.generation):
-            return
-        ecalls_before = self.enclave.ecall_count
-        try:
-            transformed, context = self._transform_request(request)
-        except Exception as exc:
-            self.transform_errors += 1
-            reply(transform_error_response(request, exc))
-            self._pump()
-            return
-        try:
-            backend = self._pick_backend(request)
-        except BalancerError:
-            # NoUpstream: the LRS pool is empty (every backend ejected).
-            self.no_upstream += 1
-            self._count_shed(STAGE_UPSTREAM, "no_upstream")
-            reply(uniform_reject(request.request_id))
-            self._pump()
-            return
-        if remaining is not None:
-            if arrived is not None:
-                remaining = charge(remaining, self.runtime.loop.now - arrived)
-            transformed = stamp_deadline(transformed, remaining)
-        self.routing.register(request.request_id, (reply, context))
-        self.requests_processed += 1
-        network = self.runtime.network
-        codec = self.runtime.codec
-        telemetry = self.runtime.telemetry
-        # The IA is the only component that knows, by construction, that
-        # this peer is an LRS backend: register it in the operator-side
-        # role directory on first contact.
-        if backend.address not in network.roles:
-            network.register_role(backend.address, "lrs")
-
-        def reply_from_lrs(response: Response) -> None:
-            if telemetry is not None:
-                telemetry.tracer.annotate(response.request_id, backend=backend.address)
-                telemetry.tracer.record_hop(response.request_id, "lrs", "ia")
-            ship(network, codec, backend.address, self.address, response,
-                 self._receive_response)
-
-        self.enclave.ocall()
-        if telemetry is not None:
-            telemetry.tracer.annotate(
-                request.request_id,
-                instance=self.name,
-                service_seconds=service_time,
-                ecalls=self.enclave.ecall_count - ecalls_before,
-                routing_pending=len(self.routing),
-                **_sgx_attrs(self.runtime, self.enclave, len(self.routing)),
-            )
-            telemetry.tracer.record_hop(request.request_id, "ia", "lrs")
-        ship(network, codec, self.address, backend.address, transformed,
-             lambda req: backend.handle(req, reply_from_lrs))
-        self._pump()
-
-    # -- response path -------------------------------------------------
-
-    def _receive_response(self, response: Response) -> None:
-        if not self.alive:
-            return
-        if self.response_buffer is not None:
-            self.response_buffer.add(response)
-        else:
-            self._start_response_processing(response)
-
-    def _start_response_processing(self, response: Response) -> None:
+    def _response_leg(self, response: Response) -> Tuple[float, Optional[dict]]:
         shuffle_wait = (
             self.response_buffer.last_wait if self.response_buffer is not None else 0.0
         )
@@ -1160,92 +938,37 @@ class ItemAnonymizer:
             item_count,
             self.enclave.performance_penalty,
         )
-        generation = self.generation
-        self.node.submit(
-            service_time,
-            lambda: self._return_to_ua(
-                response, service_time, shuffle_wait, item_count, generation
-            ),
+        return service_time, {"shuffle_wait_seconds": shuffle_wait, "item_count": item_count}
+
+    def _probe_field(self, request: Request) -> Optional[str]:
+        # GET temporary keys are 32 opaque bytes with no structure to
+        # validate, so under a provider whose wrong-key decryption
+        # returns garbage silently the active-epoch trial always
+        # "wins"; a stale-epoch GET then yields an undecodable blob and
+        # heals through the client's decode-failure retry, re-encoded
+        # under the current epoch.
+        return "item" if request.verb == Verb.POST else None
+
+    def _transform(self, keys: Optional[LayerKeys], request: Request):
+        return protocol.ia_transform_request(
+            self.runtime.provider, keys, self.runtime.config, request,
+            self.address, codec=self.runtime.codec,
         )
 
-    def _pick_backend(self, request: Request):
-        """Choose the LRS backend; multi-tenant subclasses route by
-        the request's tenant."""
-        return self.lrs_picker()
-
-    def _return_to_ua(
-        self,
-        response: Response,
-        service_time: float = 0.0,
-        shuffle_wait: float = 0.0,
-        item_count: int = 0,
-        generation: Optional[int] = None,
-    ) -> None:
-        if not self.alive or (generation is not None and generation != self.generation):
-            return
-        if response.request_id not in self.routing:
-            self.stale_responses += 1
-            self._pump()
-            return
-        reply, context = self.routing.consume(response.request_id)
-        ecalls_before = self.enclave.ecall_count
-        try:
-            keys = (
-                self._keys_for(context.tenant) if self.runtime.config.encryption else None
-            )
-            previous = self._previous_keys() if keys is not None else None
-            transformed = protocol.ia_transform_response(
-                self.runtime.provider,
-                keys,
-                self.runtime.config,
-                context,
-                response,
-                previous=previous,
-                on_previous_use=self._note_previous_use,
-                codec=self.runtime.codec,
-            )
-        except Exception as exc:
-            del exc
-            self.transform_errors += 1
-            reply(uniform_reject(response.request_id))
-            self._pump()
-            return
-        if not transformed.ok:
-            # ia_transform_response passes failures through untouched;
-            # rewrite them here so brownout/guard/backend error text
-            # never crosses the ia->ua hop — a shed must look exactly
-            # like any other failure from the UA's side.
-            self.rejects_normalized += 1
-            transformed = uniform_reject(transformed.request_id)
-        self.responses_processed += 1
-        self.enclave.ocall()
-        telemetry = self.runtime.telemetry
-        if telemetry is not None:
-            # The ia_outbound span closes when the UA records the
-            # ia->ua hop inside *reply*.
-            telemetry.tracer.annotate(
-                response.request_id,
-                instance=self.name,
-                service_seconds=service_time,
-                shuffle_wait_seconds=shuffle_wait,
-                item_count=item_count,
-                ecalls=self.enclave.ecall_count - ecalls_before,
-                routing_pending=len(self.routing),
-                **_sgx_attrs(self.runtime, self.enclave, len(self.routing)),
-            )
-        reply(transformed)
-        self._pump()
-
-    def _keys_for(self, tenant: str) -> LayerKeys:
-        """Resolve key material; single-tenant deployments ignore
-        *tenant* (multi-tenant subclasses dispatch on it, §6.3)."""
-        from repro.sgx.provisioning import IA_SECRET_K, IA_SECRET_SK
-
-        return _layer_keys(self.enclave, IA_SECRET_SK, IA_SECRET_K)
-
-    def _note_previous_use(self) -> None:
-        self.previous_epoch_decrypts += 1
-        self.last_previous_epoch_use = self.runtime.loop.now
+    def _transform_response(
+        self, context: "protocol.IaRequestContext", response: Response
+    ) -> Response:
+        keys = self._keys_for(context.tenant) if self.runtime.config.encryption else None
+        return protocol.ia_transform_response(
+            self.runtime.provider,
+            keys,
+            self.runtime.config,
+            context,
+            response,
+            previous=self._previous_keys() if keys is not None else None,
+            on_previous_use=self._note_previous_use,
+            codec=self.runtime.codec,
+        )
 
     def _previous_keys(self) -> Optional[LayerKeys]:
         """Previous-epoch key material while a window is open (the
@@ -1253,51 +976,25 @@ class ItemAnonymizer:
         window = epoch_window_of(self.enclave)
         if window is None:
             return None
-        prev_sk_slot, prev_k_slot = window.secret_slots()
-        return _layer_keys(self.enclave, prev_sk_slot, prev_k_slot)
+        return self._slot_keys(*window.secret_slots())
 
-    def _transform_request(self, request: Request) -> Tuple[Request, "protocol.IaRequestContext"]:
-        """IA transform, dual-epoch aware (see :meth:`UserAnonymizer.
-        _transform_request`).
+    def _pick_backend(self, request: Request):
+        """Choose the LRS backend; multi-tenant subclasses route by
+        the request's tenant."""
+        return self.lrs_picker()
 
-        POSTs are validated through the fixed-size identifier encoding
-        before committing to a candidate key.  GET temporary keys are
-        32 opaque bytes with no structure to validate, so under a
-        provider whose wrong-key decryption returns garbage silently
-        the active-epoch trial always "wins"; a stale-epoch GET then
-        yields an undecodable blob and heals through the client's
-        decode-failure retry, re-encoded under the current epoch.
-        """
-        config = self.runtime.config
-        provider = self.runtime.provider
-        codec = self.runtime.codec
-        if not config.encryption:
-            return protocol.ia_transform_request(
-                provider, None, config, request, self.address, codec=codec
-            )
-        active = self._keys_for(_tenant_of(request))
-        window = epoch_window_of(self.enclave)
-        if window is None:
-            return protocol.ia_transform_request(
-                provider, active, config, request, self.address, codec=codec
-            )
-        last_error: Optional[Exception] = None
-        for candidate, is_previous in window_candidates(self.enclave, active, window):
-            try:
-                if request.verb == Verb.POST:
-                    decode_identifier(
-                        provider.asym_decrypt(
-                            candidate,
-                            self.runtime.field_blob(request.fields["item"]),
-                        )
-                    )
-                result = protocol.ia_transform_request(
-                    provider, candidate, config, request, self.address, codec=codec
-                )
-            except Exception as exc:
-                last_error = exc
-                continue
-            if is_previous:
-                self._note_previous_use()
-            return result
-        raise last_error  # type: ignore[misc]  # loop ran at least once
+    def _pick_upstream(self, request: Request):
+        backend = self._pick_backend(request)
+        # The IA is the only component that knows, by construction,
+        # that this peer is an LRS backend: register it in the
+        # operator-side role directory on first contact.
+        network = self.runtime.network
+        if backend.address not in network.roles:
+            network.register_role(backend.address, "lrs")
+        return backend
+
+    def _deliver(self, backend: Any, request: Request, reply: ReplyFn) -> None:
+        backend.handle(request, reply)
+
+    def _annotate_upstream_reply(self, response: Response, backend: Any) -> None:
+        self.runtime.telemetry.tracer.annotate(response.request_id, backend=backend.address)

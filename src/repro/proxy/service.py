@@ -41,6 +41,7 @@ __all__ = [
 #: Code identities measured into the enclaves of each layer.
 UA_CODE_IDENTITY = "pprox-user-anonymizer-v1.0"
 IA_CODE_IDENTITY = "pprox-item-anonymizer-v1.0"
+_CODE_IDENTITIES = {"UA": UA_CODE_IDENTITY, "IA": IA_CODE_IDENTITY}
 
 # RSA key generation in pure Python is slow (~1 s per keypair); cache
 # deterministic keypairs across experiment configurations of a run.
@@ -123,41 +124,50 @@ class PProxService:
     def scale_ua(self) -> UserAnonymizer:
         """Add one UA instance: new enclave, attest, provision, join LB."""
         index = len(self.ua_instances)
-        enclave = Enclave(
-            name=f"ua-enclave-{index}",
-            measurement=EnclaveMeasurement.of_code(UA_CODE_IDENTITY),
-            host_node=f"node-ua-{index}",
+        return self._spawn(
+            "UA", f"pprox-ua-{index}", f"ua-enclave-{index}", f"node-ua-{index}",
+            self.ia_balancer,
         )
-        self.provisioner.provision("UA", enclave)
-        instance = UserAnonymizer(
-            name=f"pprox-ua-{index}",
-            runtime=self.runtime,
-            enclave=enclave,
-            ia_balancer=self.ia_balancer,
-        )
-        self.ua_instances.append(instance)
-        self.ua_balancer.add(instance)
-        self.runtime.network.register_role(instance.address, "ua")
-        return instance
 
     def scale_ia(self) -> ItemAnonymizer:
         """Add one IA instance: new enclave, attest, provision, join LB."""
         index = len(self.ia_instances)
+        return self._spawn(
+            "IA", f"pprox-ia-{index}", f"ia-enclave-{index}", f"node-ia-{index}",
+            self.lrs_picker,
+        )
+
+    def _provisioned_enclave(self, layer: str, name: str, host_node: str) -> Enclave:
+        """A new enclave measuring *layer*'s code, attested and holding
+        the layer's keys."""
         enclave = Enclave(
-            name=f"ia-enclave-{index}",
-            measurement=EnclaveMeasurement.of_code(IA_CODE_IDENTITY),
-            host_node=f"node-ia-{index}",
+            name=name,
+            measurement=EnclaveMeasurement.of_code(_CODE_IDENTITIES[layer]),
+            host_node=host_node,
         )
-        self.provisioner.provision("IA", enclave)
-        instance = ItemAnonymizer(
-            name=f"pprox-ia-{index}",
-            runtime=self.runtime,
-            enclave=enclave,
-            lrs_picker=self.lrs_picker,
-        )
-        self.ia_instances.append(instance)
-        self.ia_balancer.add(instance)
-        self.runtime.network.register_role(instance.address, "ia")
+        self.provisioner.provision(layer, enclave)
+        return enclave
+
+    def _spawn(
+        self,
+        layer: str,
+        name: str,
+        enclave_name: str,
+        host_node: str,
+        upstream: Any,
+        pools: Tuple[Tuple[list, LoadBalancer], ...] = (),
+    ) -> Union[UserAnonymizer, ItemAnonymizer]:
+        """Provision and start one *layer* instance forwarding to
+        *upstream* (the IA balancer or the LRS picker), then join it to
+        each extra ``(instances, balancer)`` pool and the service's own."""
+        enclave = self._provisioned_enclave(layer, enclave_name, host_node)
+        cls = UserAnonymizer if layer == "UA" else ItemAnonymizer
+        instance = cls(name, self.runtime, enclave, upstream)
+        balancer = self.ua_balancer if layer == "UA" else self.ia_balancer
+        for instances, pool_balancer in (*pools, (self.layer_instances(layer), balancer)):
+            instances.append(instance)
+            pool_balancer.add(instance)
+        self.runtime.network.register_role(instance.address, layer.lower())
         return instance
 
     # -- failure recovery ----------------------------------------------
@@ -177,19 +187,24 @@ class PProxService:
         monitor's job (or the caller's, via ``readmit``).
         """
         if instance in self.ua_instances:
-            layer, identity = "UA", UA_CODE_IDENTITY
+            layer = "UA"
         elif instance in self.ia_instances:
-            layer, identity = "IA", IA_CODE_IDENTITY
+            layer = "IA"
         else:
             raise ValueError(f"instance {instance.name!r} is not part of this service")
-        next_generation = instance.generation + 1
-        enclave = Enclave(
-            name=f"{instance.name}-enclave-g{next_generation}",
-            measurement=EnclaveMeasurement.of_code(identity),
-            host_node=f"node-{instance.name}-g{next_generation}",
+        return self._restart(instance, layer, f"node-{instance.name}")
+
+    def _restart(
+        self, instance: Union[UserAnonymizer, ItemAnonymizer], layer: str, host_prefix: str
+    ) -> Union[UserAnonymizer, ItemAnonymizer]:
+        """Restart *instance* on a fresh enclave hosted on
+        ``<host_prefix>-g<next generation>``."""
+        generation = instance.generation + 1
+        instance.restart(
+            self._provisioned_enclave(
+                layer, f"{instance.name}-enclave-g{generation}", f"{host_prefix}-g{generation}"
+            )
         )
-        self.provisioner.provision(layer, enclave)
-        instance.restart(enclave)
         self.restarts += 1
         return instance
 

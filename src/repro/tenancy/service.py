@@ -31,34 +31,26 @@ from repro.tenancy.directory import TenantDirectory, tenant_slot
 __all__ = ["TenantUserAnonymizer", "TenantItemAnonymizer", "build_multi_tenant_pprox"]
 
 
+class _TenantKeys:
+    """Per-tenant key dispatch: each application's keys live in its
+    own sealed slots (§6.3)."""
+
+    def _keys_for(self, tenant: str) -> LayerKeys:
+        return self._slot_keys(*(tenant_slot(slot, tenant) for slot in self.key_slots))
+
+
 @dataclass
-class TenantUserAnonymizer(UserAnonymizer):
+class TenantUserAnonymizer(_TenantKeys, UserAnonymizer):
     """UA instance dispatching key material by tenant."""
 
     directory: Optional[TenantDirectory] = None
 
-    def _keys_for(self, tenant: str) -> LayerKeys:
-        from repro.sgx.provisioning import UA_SECRET_K, UA_SECRET_SK
-
-        return LayerKeys(
-            private_key=self.enclave.secret(tenant_slot(UA_SECRET_SK, tenant)),
-            symmetric_key=self.enclave.secret(tenant_slot(UA_SECRET_K, tenant)),
-        )
-
 
 @dataclass
-class TenantItemAnonymizer(ItemAnonymizer):
+class TenantItemAnonymizer(_TenantKeys, ItemAnonymizer):
     """IA instance dispatching keys and LRS routing by tenant."""
 
     directory: Optional[TenantDirectory] = None
-
-    def _keys_for(self, tenant: str) -> LayerKeys:
-        from repro.sgx.provisioning import IA_SECRET_K, IA_SECRET_SK
-
-        return LayerKeys(
-            private_key=self.enclave.secret(tenant_slot(IA_SECRET_SK, tenant)),
-            symmetric_key=self.enclave.secret(tenant_slot(IA_SECRET_K, tenant)),
-        )
 
     def _pick_backend(self, request: Request):
         tenant = request.fields.get("tenant", "default")

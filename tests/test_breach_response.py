@@ -84,11 +84,11 @@ def test_rotation_invalidates_old_client_material(stack):
         client.provider, stale_material, service.config,
         __import__("repro.rest.messages", fromlist=["make_get"]).make_get("a"),
     )
-    from repro.crypto.envelope import unb64
+    from repro.crypto.envelope import EnvelopeCodec
 
     with pytest.raises(Exception):
         client.provider.asym_decrypt(
-            service.provisioner.layer_keys["UA"], unb64(encoded.fields["user"])
+            service.provisioner.layer_keys["UA"], EnvelopeCodec.wire_blob(encoded.fields["user"])
         )
     # With refreshed material, service resumes.
     client.get("a", on_complete=lambda c: None)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.crypto.envelope import b64, encode_identifier
+from repro.crypto.envelope import EnvelopeCodec, encode_identifier
 from repro.crypto.provider import FastCryptoProvider
 from repro.privacy.adversary import ObservedMessage
 from repro.privacy.unlinkability import KnowledgeEngine, fifo_correlation
@@ -26,7 +26,7 @@ def _message(fields, source="pprox-ua-0", destination="pprox-ia-0",
 
 
 def test_resolve_user_needs_ua_keys(provider, layer_keys):
-    ciphertext = b64(provider.asym_encrypt(layer_keys.public_material,
+    ciphertext = EnvelopeCodec.wire_text(provider.asym_encrypt(layer_keys.public_material,
                                            encode_identifier("alice")))
     without = KnowledgeEngine(provider=provider)
     assert without.resolve_user(ciphertext) is None
@@ -35,7 +35,7 @@ def test_resolve_user_needs_ua_keys(provider, layer_keys):
 
 
 def test_resolve_user_handles_pseudonyms(provider, layer_keys):
-    pseudonym = b64(provider.pseudonymize(layer_keys.symmetric_key,
+    pseudonym = EnvelopeCodec.wire_text(provider.pseudonymize(layer_keys.symmetric_key,
                                           encode_identifier("bob")))
     engine = KnowledgeEngine(provider=provider, ua_keys=layer_keys)
     assert engine.resolve_user(pseudonym) == "bob"
@@ -53,7 +53,7 @@ def test_resolve_user_ignores_catalog_items(provider):
 
 
 def test_resolve_item_needs_ia_keys(provider, second_layer_keys):
-    ciphertext = b64(provider.asym_encrypt(second_layer_keys.public_material,
+    ciphertext = EnvelopeCodec.wire_text(provider.asym_encrypt(second_layer_keys.public_material,
                                            encode_identifier("movie-7")))
     without = KnowledgeEngine(provider=provider)
     assert without.resolve_item(ciphertext) is None
@@ -69,7 +69,7 @@ def test_resolve_item_catalog_membership(provider):
 
 def test_resolve_temporary_key(provider, second_layer_keys):
     key = provider.new_temporary_key()
-    field_value = b64(provider.asym_encrypt(second_layer_keys.public_material, key))
+    field_value = EnvelopeCodec.wire_text(provider.asym_encrypt(second_layer_keys.public_material, key))
     engine = KnowledgeEngine(provider=provider, ia_keys=second_layer_keys)
     assert engine.resolve_temporary_key(field_value) == key
     assert KnowledgeEngine(provider=provider).resolve_temporary_key(field_value) is None
@@ -78,7 +78,7 @@ def test_resolve_temporary_key(provider, second_layer_keys):
 def test_harvest_keys_collects_all_tmpkeys(provider, second_layer_keys):
     keys = [provider.new_temporary_key() for _ in range(3)]
     observations = [
-        _message({"tmpkey": b64(provider.asym_encrypt(
+        _message({"tmpkey": EnvelopeCodec.wire_text(provider.asym_encrypt(
             second_layer_keys.public_material, key))}, verb="GET")
         for key in keys
     ]
@@ -90,8 +90,8 @@ def test_harvest_keys_collects_all_tmpkeys(provider, second_layer_keys):
 
 def test_trial_decrypt_items_with_harvested_keys(provider, second_layer_keys):
     key = provider.new_temporary_key()
-    wire_items = [b64(encode_identifier("movie-1")), b64(encode_identifier("movie-2"))]
-    blob = b64(provider.sym_encrypt(key, json.dumps(wire_items).encode()))
+    wire_items = [EnvelopeCodec.wire_text(encode_identifier("movie-1")), EnvelopeCodec.wire_text(encode_identifier("movie-2"))]
+    blob = EnvelopeCodec.wire_text(provider.sym_encrypt(key, json.dumps(wire_items).encode()))
     engine = KnowledgeEngine(provider=provider, ia_keys=second_layer_keys)
     # Wrong keys produce nothing; the right key in the set decrypts.
     assert engine._trial_decrypt_items(blob, [provider.new_temporary_key()]) == []
@@ -100,9 +100,9 @@ def test_trial_decrypt_items_with_harvested_keys(provider, second_layer_keys):
 
 
 def test_unseal_requires_ua_keys(provider, layer_keys):
-    inner = {"user": b64(encode_identifier("carol"))}
-    payload = json.dumps({"fields": inner, "resp_key": b64(b"k" * 32)})
-    sealed = {"sealed": b64(provider.asym_encrypt(layer_keys.public_material,
+    inner = {"user": EnvelopeCodec.wire_text(encode_identifier("carol"))}
+    payload = json.dumps({"fields": inner, "resp_key": EnvelopeCodec.wire_text(b"k" * 32)})
+    sealed = {"sealed": EnvelopeCodec.wire_text(provider.asym_encrypt(layer_keys.public_material,
                                                   payload.encode()))}
     without = KnowledgeEngine(provider=provider)
     fields, response_key = without.unseal(sealed)

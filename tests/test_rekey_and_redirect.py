@@ -104,11 +104,11 @@ def test_rekey_defeats_stolen_keys():
     stolen = service.provisioner.layer_keys["IA"]
     new_keys = service.rotate_layer("IA", factory)
     reencrypt_store(harness.engine.store, client.provider, stolen, new_keys, "IA")
-    from repro.crypto.envelope import unb64
+    from repro.crypto.envelope import EnvelopeCodec
 
     for event in harness.engine.store.dump():
         with pytest.raises(Exception):
-            client.provider.depseudonymize(stolen.symmetric_key, unb64(event.item))
+            client.provider.depseudonymize(stolen.symmetric_key, EnvelopeCodec.wire_blob(event.item))
 
 
 def test_rekey_rejects_unknown_layer():

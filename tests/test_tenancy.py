@@ -233,7 +233,7 @@ def test_cross_tenant_requests_cannot_be_decrypted_with_other_keys():
     """A request encrypted for tenant A fails under tenant B's keys."""
     loop, _, directory, _, _, clients = _multi_tenant_stack()
     provider = clients["shop"].provider
-    from repro.crypto.envelope import encode_identifier, unb64
+    from repro.crypto.envelope import encode_identifier
 
     shop = directory.record("shop")
     forum = directory.record("forum")
